@@ -12,7 +12,7 @@
 // count — must reproduce the uncached 1-thread screening digest
 // bit-for-bit (verdicts, stage counts, margins, and the failing stage's
 // distance/threshold/p̂ bit patterns all feed the digest), because the
-// cache keys on the *exact* rational p̂ and the kernels are shared by
+// cache keys on the *exact* double p̂ and the kernels are shared by
 // every path.  On hosts with >= 8 hardware threads the full run enforces
 // the >= 2x steady-state (warm vs uncached) budget at 8 threads;
 // elsewhere (and under --smoke) the ratio is reported only.  Results are
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
         (void)run_screen(uncached, tapes, 1, ignored);
     }
 
-    // The ladder touches ~servers * stages distinct exact-rational keys;
+    // The ladder touches ~servers * stages distinct exact p̂ keys;
     // a private cache sized above that working set keeps the warm lane
     // eviction-free (the default capacity is tuned for serving, not for
     // screening a whole population in one sweep).

@@ -55,7 +55,7 @@ void BM_ReferenceModelCached(benchmark::State& state) {
     // Steady-state cost of fetching a reference model from the shared
     // cache (shared-lock map hit + recency stamp) vs BM_BinomialConstruct,
     // which is what every ladder stage paid before the cache existed.
-    // Cycles 64 distinct exact-rational keys so the map lookup is real.
+    // Cycles 64 distinct exact p̂ keys so the map lookup is real.
     const auto n = static_cast<std::uint32_t>(state.range(0));
     stats::ReferenceModelCache cache{1024};
     std::uint64_t i = 0;
@@ -226,6 +226,122 @@ BENCHMARK(BM_CalibrationSingleFlight)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// --- Ladder-stage cost split --------------------------------------------
+// One streaming ladder stage (core::OnlineScreener::evaluate) is a
+// BehaviorTest::test over a suffix's window counts: a reference-model
+// lookup, the L1 distance and a calibrated-threshold lookup, which buckets
+// the window count onto the calibration grid first.  The lanes below time
+// each layer over the same 1,024 stage inputs, shaped like the daemon's
+// streams (m = 10, horizon 64, 3..64 windows, honest p in [0.75, 0.98])
+// against warm caches, so the layer times roughly add up to the stage
+// time.
+
+struct LadderStageInput {
+    stats::EmpiricalDistribution counts{10};
+    std::size_t windows = 0;
+    double p_hat = 0.0;
+};
+
+/// Warm calibrator (the daemon's key grid) shared by the ladder lanes.
+std::shared_ptr<stats::Calibrator> ladder_cal() {
+    static const auto cal = [] {
+        auto calibrator = core::make_calibrator(core::BehaviorTestConfig{});
+        (void)core::warm_calibration(*calibrator, 10, 1000 / 10, 0.55, 1.0);
+        return calibrator;
+    }();
+    return cal;
+}
+
+const std::vector<LadderStageInput>& ladder_inputs() {
+    static const auto inputs = [] {
+        std::vector<LadderStageInput> out(1024);
+        stats::Rng rng{4242};
+        for (LadderStageInput& input : out) {
+            const double p = rng.uniform(0.75, 0.98);
+            input.windows = 3 + rng.uniform_int(std::uint64_t{62});
+            const stats::Binomial reference{10, p};
+            for (std::size_t w = 0; w < input.windows; ++w) {
+                input.counts.add(reference.sample(rng));
+            }
+            input.p_hat = static_cast<double>(input.counts.value_sum()) /
+                          static_cast<double>(input.windows * 10);
+        }
+        return out;
+    }();
+    return inputs;
+}
+
+/// Bonferroni confidence of a full 31-stage ladder (horizon 64).
+constexpr double kLadderConfidence = 1.0 - 0.05 / 31.0;
+
+void BM_LadderEffectiveWindows(benchmark::State& state) {
+    const auto cal = ladder_cal();
+    const auto& inputs = ladder_inputs();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cal->effective_windows(inputs[i++ & 1023].windows));
+    }
+}
+BENCHMARK(BM_LadderEffectiveWindows);
+
+void BM_LadderThresholdHit(benchmark::State& state) {
+    const auto cal = ladder_cal();
+    const auto& inputs = ladder_inputs();
+    for (const auto& input : inputs) {
+        (void)cal->threshold(input.windows, 10, input.p_hat, kLadderConfidence);
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const LadderStageInput& input = inputs[i++ & 1023];
+        benchmark::DoNotOptimize(
+            cal->threshold(input.windows, 10, input.p_hat, kLadderConfidence));
+    }
+}
+BENCHMARK(BM_LadderThresholdHit);
+
+void BM_LadderReferenceLookup(benchmark::State& state) {
+    stats::ReferenceModelCache cache;
+    const auto& inputs = ladder_inputs();
+    for (const auto& input : inputs) {
+        (void)cache.reference(10, input.counts.value_sum(), input.windows * 10);
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const LadderStageInput& input = inputs[i++ & 1023];
+        benchmark::DoNotOptimize(
+            cache.reference(10, input.counts.value_sum(), input.windows * 10).get());
+    }
+}
+BENCHMARK(BM_LadderReferenceLookup);
+
+void BM_LadderDistance(benchmark::State& state) {
+    const auto& inputs = ladder_inputs();
+    std::vector<stats::Binomial> references;
+    references.reserve(inputs.size());
+    for (const auto& input : inputs) references.emplace_back(10, input.p_hat);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const std::size_t at = i++ & 1023;
+        benchmark::DoNotOptimize(stats::distance(inputs[at].counts, references[at],
+                                                 stats::DistanceKind::kL1));
+    }
+}
+BENCHMARK(BM_LadderDistance);
+
+void BM_LadderStage(benchmark::State& state) {
+    core::BehaviorTestConfig config;
+    config.reference_cache = std::make_shared<stats::ReferenceModelCache>();
+    const core::BehaviorTest tester{config, ladder_cal()};
+    const auto& inputs = ladder_inputs();
+    for (const auto& input : inputs) (void)tester.test(input.counts, kLadderConfidence);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            tester.test(inputs[i++ & 1023].counts, kLadderConfidence).passed);
+    }
+}
+BENCHMARK(BM_LadderStage);
 
 void BM_ReorderByIssuer(benchmark::State& state) {
     const auto history = history_of(static_cast<std::size_t>(state.range(0)), 64);

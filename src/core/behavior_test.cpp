@@ -11,11 +11,6 @@ namespace hpr::core {
 
 namespace {
 
-/// Largest integer count that converts to double exactly; the cache's
-/// bit-identity guarantee (reference_cache.h) needs exact conversions, so
-/// absurdly long histories fall back to fresh model construction.
-constexpr std::uint64_t kExactDoubleLimit = 1ULL << 53;
-
 /// Reduce a raw sequence to its newest-anchored window-count histogram in
 /// the calling thread's scratch slot — compute_window_stats semantics
 /// (window w covers [n-(w+1)m, n-wm), the oldest n mod m outcomes are
@@ -63,17 +58,12 @@ std::size_t warm_calibration(stats::Calibrator& calibrator, std::uint32_t window
     const std::size_t top =
         std::min(std::max<std::size_t>(max_windows, 1), config.windows_cap);
 
-    // Every distinct point of the calibrator's geometric window grid up to
-    // `top`: walk k upward, let the calibrator bucket it, and skip over
-    // the rest of each bucket.
+    // Every distinct point of the calibrator's window grid up to `top`
+    // (buckets are non-decreasing in k, so a change marks a new point).
     std::vector<std::size_t> windows;
-    for (std::size_t k = 1; k <= top;) {
-        windows.push_back(calibrator.effective_windows(k));
-        std::size_t next = k + 1;
-        while (next <= top && calibrator.effective_windows(next) == windows.back()) {
-            ++next;
-        }
-        k = next;
+    for (std::size_t k = 1; k <= top; ++k) {
+        const std::size_t bucket = calibrator.effective_windows(k);
+        if (windows.empty() || windows.back() != bucket) windows.push_back(bucket);
     }
 
     // Every p̂ bucket intersecting [p_lo, p_hi] (plus the interior-clamped
@@ -143,9 +133,9 @@ BehaviorTestResult BehaviorTest::test(const stats::EmpiricalDistribution& counts
     const auto total = static_cast<std::uint64_t>(result.transactions_used);
     result.p_hat = total == 0 ? 0.0
                               : static_cast<double>(good) / static_cast<double>(total);
-    if (reference_cache_ != nullptr && total < kExactDoubleLimit) {
+    if (reference_cache_ != nullptr) {
         // Shared model, bit-identical to the fresh construction below: the
-        // cache keys on the exact rational good/total (reference_cache.h).
+        // cache keys on the exact double good/total (reference_cache.h).
         const auto reference =
             reference_cache_->reference(config_.window_size, good, total);
         result.distance = stats::distance(counts, *reference, config_.distance);

@@ -45,7 +45,7 @@ struct BehaviorTestConfig {
     /// Reuse Binomial reference models through the shared
     /// stats::ReferenceModelCache instead of rebuilding the pmf table on
     /// every test.  Purely a speed knob: the cache keys on the *exact*
-    /// rational p̂, so cached results are bit-identical to fresh
+    /// double p̂, so cached results are bit-identical to fresh
     /// construction (verdicts, distances and margins cannot change).
     bool use_reference_cache = true;
 

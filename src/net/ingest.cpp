@@ -288,6 +288,7 @@ struct IngestService::Metrics {
     obs::Counter& ingest_accepted_records;
     obs::Counter& ingest_rejected;
     obs::Histogram& ingest_seconds;
+    obs::Histogram& screen_seconds;
     obs::Counter& assess_requests;
     obs::Counter& assess_suspicious;
     obs::Histogram& assess_seconds;
@@ -306,6 +307,9 @@ struct IngestService::Metrics {
             registry.histogram("hpr_ingest_http_request_seconds",
                                "POST /ingest handling latency (parse through "
                                "screener-bank update)"),
+            registry.histogram("hpr_ingest_screen_seconds",
+                               "Screener-bank update of one accepted POST /ingest "
+                               "batch (one observation per request)"),
             registry.counter("hpr_assess_http_requests_total",
                              "GET /assess requests handled"),
             registry.counter("hpr_assess_http_suspicious_total",
@@ -365,10 +369,14 @@ HttpResponse IngestService::handle_ingest(const HttpRequest& request) {
                                           "server"));
     }
     // The batch is committed; stream it into the screener bank so the
-    // very next /assess answers from it.
+    // very next /assess answers from it.  Timed per request, never per
+    // record: the screen stage's share of the handler, from the daemon's
+    // own metrics.
+    const auto screen_start = std::chrono::steady_clock::now();
     for (const repsys::Feedback& feedback : feedbacks) {
         assessor_.observe(feedback);
     }
+    metrics_->screen_seconds.observe(seconds_since(screen_start));
 
     accepted_requests_.fetch_add(1, std::memory_order_relaxed);
     accepted_records_.fetch_add(feedbacks.size(), std::memory_order_relaxed);

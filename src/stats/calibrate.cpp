@@ -81,9 +81,39 @@ Calibrator::Calibrator(CalibrationConfig config) : config_(config) {
     if (config_.windows_cap == 0) {
         throw std::invalid_argument("Calibrator: windows_cap must be positive");
     }
+    if (config_.windows_cap > kMaxWindowsCap) {
+        throw std::invalid_argument("Calibrator: windows_cap must be <= 2^20");
+    }
     if (!(config_.windows_grid_ratio >= 1.0)) {
         throw std::invalid_argument("Calibrator: windows_grid_ratio must be >= 1");
     }
+    // Tabulate the deterministic integer grid 1, 2, 3, ... with ~ratio
+    // spacing (every integer when the ratio is 1): each k maps to the
+    // largest grid point <= k (conservative: smaller k means a larger
+    // calibrated threshold).
+    const std::size_t cap = config_.windows_cap;
+    const auto next_point = [&](std::size_t point) {
+        const double scaled =
+            std::floor(static_cast<double>(point) * config_.windows_grid_ratio);
+        if (scaled > static_cast<double>(cap)) return cap + 1;
+        return std::max(point + 1, static_cast<std::size_t>(scaled));
+    };
+    window_bucket_.resize(cap + 1);
+    window_rank_.resize(cap + 1);
+    window_bucket_[0] = config_.windows_grid_ratio > 1.0 ? 1 : 0;
+    std::uint32_t point = 1;
+    std::uint32_t rank = 0;
+    std::size_t next = next_point(1);
+    for (std::size_t k = 1; k <= cap; ++k) {
+        if (k == next) {
+            point = static_cast<std::uint32_t>(k);
+            ++rank;
+            next = next_point(k);
+        }
+        window_bucket_[k] = point;
+        window_rank_[k] = rank;
+    }
+    index_rows_ = std::make_unique<std::atomic<Slot*>[]>(std::size_t{rank} + 1);
 }
 
 Calibrator::~Calibrator() {
@@ -104,25 +134,6 @@ ThreadPool& Calibrator::pool() const {
         pool_ = std::make_unique<ThreadPool>(threads() - 1);
     });
     return *pool_;
-}
-
-std::size_t Calibrator::effective_windows(std::size_t windows) const {
-    std::size_t k = std::min(windows, config_.windows_cap);
-    if (config_.windows_grid_ratio > 1.0) {
-        // Walk the deterministic integer grid 1, 2, 3, ... with ~ratio
-        // spacing and keep the largest point <= k (conservative: smaller
-        // k means a larger calibrated threshold).
-        std::size_t point = 1;
-        std::size_t best = 1;
-        while (point <= k) {
-            best = point;
-            const auto next = static_cast<std::size_t>(
-                std::floor(static_cast<double>(point) * config_.windows_grid_ratio));
-            point = std::max(point + 1, next);
-        }
-        k = best;
-    }
-    return k;
 }
 
 Calibrator::Key Calibrator::make_key(std::size_t windows, std::uint32_t m,
@@ -194,28 +205,51 @@ std::vector<double> Calibrator::compute_null(const Key& key) const {
     return distances;
 }
 
+const Calibrator::Entry* Calibrator::indexed(const Key& key) const noexcept {
+    const Slot* row =
+        index_rows_[window_rank_[key.windows]].load(std::memory_order_acquire);
+    if (row == nullptr) return nullptr;
+    const Entry* entry = row[key.p_bucket].load(std::memory_order_acquire);
+    return entry != nullptr && entry->first == key ? entry : nullptr;
+}
+
+void Calibrator::publish_locked(const Entry& entry) {
+    std::atomic<Slot*>& row_slot = index_rows_[window_rank_[entry.first.windows]];
+    Slot* row = row_slot.load(std::memory_order_relaxed);
+    if (row == nullptr) {
+        row = index_storage_
+                  .emplace_back(std::make_unique<Slot[]>(std::size_t{config_.p_grid} + 1))
+                  .get();
+        row_slot.store(row, std::memory_order_release);
+    }
+    Slot& slot = row[entry.first.p_bucket];
+    if (slot.load(std::memory_order_relaxed) == nullptr) {
+        slot.store(&entry, std::memory_order_release);
+    }
+}
+
+void Calibrator::count_hit() const noexcept {
+    hit_count_.fetch_add(1, std::memory_order_relaxed);
+    calibration_metrics().hits.increment();
+}
+
 const std::vector<double>& Calibrator::null_for(const Key& key) {
-    {
-        // Hit fast path: no promise/future shared state (a heap
-        // allocation) is created and no writer is blocked.  Entries are
-        // never erased while the calibrator lives, so the returned
-        // reference stays valid after the lock is dropped.
-        const std::shared_lock lock{mutex_};
-        if (const auto it = cache_.find(key); it != cache_.end()) {
-            hit_count_.fetch_add(1, std::memory_order_relaxed);
-            calibration_metrics().hits.increment();
-            return it->second;
-        }
+    // Hit fast path: two table loads, no lock, no promise/future shared
+    // state (a heap allocation).  Published entries stay put while the
+    // calibrator lives, so the returned reference outlives the probe.
+    if (const Entry* entry = indexed(key)) {
+        count_hit();
+        return entry->second;
     }
     std::promise<const std::vector<double>*> promise;
     std::shared_future<const std::vector<double>*> flight;
     bool leader = false;
     {
         const std::scoped_lock lock{mutex_};
-        // Re-check: the key may have landed between the two locks.
+        // Re-check: the key may have landed since the probe, or its index
+        // slot may belong to another window size.
         if (const auto it = cache_.find(key); it != cache_.end()) {
-            hit_count_.fetch_add(1, std::memory_order_relaxed);
-            calibration_metrics().hits.increment();
+            count_hit();
             return it->second;
         }
         if (const auto it = inflight_.find(key); it != inflight_.end()) {
@@ -232,11 +266,12 @@ const std::vector<double>& Calibrator::null_for(const Key& key) {
     try {
         std::vector<double> null = compute_null(key);
         const std::scoped_lock lock{mutex_};
-        const auto* stored = &cache_.emplace(key, std::move(null)).first->second;
+        const Entry& stored = *cache_.emplace(key, std::move(null)).first;
+        publish_locked(stored);
         inflight_.erase(key);
         calibration_metrics().cache_entries.add(1);
-        promise.set_value(stored);
-        return *stored;
+        promise.set_value(&stored.second);
+        return stored.second;
     } catch (...) {
         {
             const std::scoped_lock lock{mutex_};
@@ -314,6 +349,11 @@ CalibratorStats Calibrator::stats() const {
 
 void Calibrator::clear_cache() {
     const std::scoped_lock lock{mutex_};
+    for (const auto& row : index_storage_) {
+        for (std::size_t b = 0; b <= config_.p_grid; ++b) {
+            row[b].store(nullptr, std::memory_order_relaxed);
+        }
+    }
     calibration_metrics().cache_entries.sub(static_cast<std::int64_t>(cache_.size()));
     cache_.clear();
 }
@@ -413,7 +453,11 @@ void Calibrator::load_cache(const std::string& path) {
     const std::scoped_lock lock{mutex_};
     std::int64_t fresh = 0;
     for (auto& [key, values] : loaded) {
-        if (cache_.insert_or_assign(key, std::move(values)).second) ++fresh;
+        const auto [it, inserted] = cache_.insert_or_assign(key, std::move(values));
+        if (inserted) {
+            publish_locked(*it);
+            ++fresh;
+        }
     }
     calibration_metrics().cache_entries.add(fresh);
 }

@@ -42,15 +42,20 @@
 ///    shrinks as k grows, so evaluating at a smaller k over-estimates ε.
 /// This is what makes repeated screening of growing histories O(1)
 /// amortized — the enabler of the O(n) multi-test timing of §5.5 / Fig. 9.
+///
+/// Both lookups on a warm threshold are O(1) and lock-free: the bucket of
+/// every k in [0, windows_cap] is tabulated at construction, and memoized
+/// samples are published into a flat index by (grid point, p̂ bucket).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/binomial.h"
@@ -68,7 +73,8 @@ struct CalibrationConfig {
     std::uint32_t p_grid = 256;        ///< p̂ is quantized to multiples of 1/p_grid
     std::uint64_t seed = 0x5ca1ab1eULL;  ///< base seed; each key derives its own stream
 
-    /// Window counts above this cap reuse the cap's null sample.
+    /// Window counts above this cap reuse the cap's null sample.  At most
+    /// Calibrator::kMaxWindowsCap (the grid is tabulated per k).
     std::size_t windows_cap = 2048;
 
     /// Geometric grid ratio for window-count bucketing (k is rounded DOWN
@@ -104,6 +110,10 @@ public:
     /// file header so persisted samples can never silently mismatch.
     static constexpr std::size_t kChunkReplications = 32;
 
+    /// Largest accepted windows_cap: the window grid is tabulated for
+    /// every k in [0, windows_cap] at construction.
+    static constexpr std::size_t kMaxWindowsCap = std::size_t{1} << 20;
+
     explicit Calibrator(CalibrationConfig config = {});
     ~Calibrator();
 
@@ -138,8 +148,12 @@ public:
 
     [[nodiscard]] const CalibrationConfig& config() const noexcept { return config_; }
 
-    /// The bucketed window count actually used for a requested k.
-    [[nodiscard]] std::size_t effective_windows(std::size_t windows) const;
+    /// The bucketed window count actually used for a requested k: the
+    /// largest grid point <= min(k, windows_cap), read from a table built
+    /// at construction.  k = 0 maps to 1 on a geometric grid, 0 when exact.
+    [[nodiscard]] std::size_t effective_windows(std::size_t windows) const noexcept {
+        return window_bucket_[std::min(windows, config_.windows_cap)];
+    }
 
     /// Resolved worker-thread count (config().threads, or the hardware
     /// concurrency when that is 0).
@@ -158,7 +172,9 @@ public:
     /// single_flight_joins equals the number of completed lookups.
     [[nodiscard]] CalibratorStats stats() const;
 
-    /// Drop all memoized null samples.
+    /// Drop all memoized null samples.  Samples returned earlier by
+    /// null_distances() dangle afterwards, so no other thread may be
+    /// looking up or holding one while this runs.
     void clear_cache();
 
     /// Persist the memoized null samples so a later process can skip the
@@ -184,17 +200,41 @@ private:
         auto operator<=>(const Key&) const = default;
     };
 
+    /// A memoized sample in cache_ (the map's node value).
+    using Entry = std::pair<const Key, std::vector<double>>;
+    /// One slot of the hit index; null until an entry is published.
+    using Slot = std::atomic<const Entry*>;
+
     [[nodiscard]] Key make_key(std::size_t windows, std::uint32_t m, double p_hat) const;
     [[nodiscard]] std::vector<double> compute_null(const Key& key) const;
     [[nodiscard]] const std::vector<double>& null_for(const Key& key);
+    /// The published entry for key, or null (lock-free).
+    [[nodiscard]] const Entry* indexed(const Key& key) const noexcept;
+    /// Make entry reachable from indexed().  Requires the exclusive lock.
+    void publish_locked(const Entry& entry);
+    void count_hit() const noexcept;
     [[nodiscard]] std::string header_line() const;
     [[nodiscard]] ThreadPool& pool() const;
 
     CalibrationConfig config_;
-    /// Read-mostly: threshold hits take the shared side; misses,
-    /// warm-up and persistence take it exclusively.
-    mutable std::shared_mutex mutex_;
+    /// Grid bucket and grid-point rank (0, 1, 2, ... along the grid) of
+    /// every window count k in [0, windows_cap].
+    std::vector<std::uint32_t> window_bucket_;
+    std::vector<std::uint32_t> window_rank_;
+
+    /// Guards cache_, inflight_ and index publication.  Hits read the
+    /// index below without it.
+    mutable std::mutex mutex_;
     std::map<Key, std::vector<double>> cache_;
+
+    /// Hit index over cache_: row = grid rank of the key's window count,
+    /// column = p̂ bucket.  A row of p_grid + 1 slots is allocated on the
+    /// first publish into it and lives as long as the calibrator; map
+    /// nodes are only freed by clear_cache(), which unpublishes them
+    /// first.  A slot holds the first window size published there; other
+    /// window sizes are looked up in cache_.
+    std::unique_ptr<std::atomic<Slot*>[]> index_rows_;
+    std::vector<std::unique_ptr<Slot[]>> index_storage_;
 
     /// Keys being computed right now; followers wait on the future while
     /// the flight leader runs the Monte-Carlo loop outside the lock.

@@ -1,8 +1,8 @@
 #include "stats/reference_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -51,9 +51,23 @@ ReferenceModelCache::Key ReferenceModelCache::make_key(std::uint32_t m,
         throw std::invalid_argument(
             "ReferenceModelCache: good count exceeds total transactions");
     }
-    if (total == 0) return Key{m, 0, 1};
-    const std::uint64_t g = std::gcd(good, total);
-    return Key{m, good / g, total / g};
+    const double p =
+        total == 0 ? 0.0 : static_cast<double>(good) / static_cast<double>(total);
+    return Key{m, std::bit_cast<std::uint64_t>(p)};
+}
+
+const std::shared_ptr<const Binomial>& ReferenceModelCache::hit(Entry& entry) noexcept {
+    // Recency is counted in misses (eviction only runs on a miss), so a
+    // hit reads the tick instead of advancing it, and skips the store when
+    // the entry is already current: steady-state hits write no shared
+    // cache line besides the hit counters.
+    const std::uint64_t now = tick_.load(std::memory_order_relaxed);
+    if (entry.last_used.load(std::memory_order_relaxed) != now) {
+        entry.last_used.store(now, std::memory_order_relaxed);
+    }
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    cache_metrics().hits.increment();
+    return entry.model;
 }
 
 std::shared_ptr<const Binomial> ReferenceModelCache::reference(std::uint32_t m,
@@ -62,12 +76,7 @@ std::shared_ptr<const Binomial> ReferenceModelCache::reference(std::uint32_t m,
     const Key key = make_key(m, good, total);
     {
         const std::shared_lock lock{mutex_};
-        if (const auto it = cache_.find(key); it != cache_.end()) {
-            it->second.last_used.store(next_stamp(), std::memory_order_relaxed);
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            cache_metrics().hits.increment();
-            return it->second.model;
-        }
+        if (const auto it = cache_.find(key); it != cache_.end()) return hit(it->second);
     }
 
     std::promise<std::shared_ptr<const Binomial>> promise;
@@ -76,12 +85,7 @@ std::shared_ptr<const Binomial> ReferenceModelCache::reference(std::uint32_t m,
     {
         const std::unique_lock lock{mutex_};
         // Re-check: the key may have landed between the two locks.
-        if (const auto it = cache_.find(key); it != cache_.end()) {
-            it->second.last_used.store(next_stamp(), std::memory_order_relaxed);
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            cache_metrics().hits.increment();
-            return it->second.model;
-        }
+        if (const auto it = cache_.find(key); it != cache_.end()) return hit(it->second);
         if (const auto it = inflight_.find(key); it != inflight_.end()) {
             flight = it->second;  // join the construction already under way
             joins_.fetch_add(1, std::memory_order_relaxed);
@@ -94,11 +98,9 @@ std::shared_ptr<const Binomial> ReferenceModelCache::reference(std::uint32_t m,
     if (!leader) return flight.get();  // rethrows the leader's failure, if any
 
     try {
-        // IEEE-754 division is correctly rounded, so the reduced rational
-        // num/den yields the identical double a caller would have computed
-        // as good/total — the cached model is bit-for-bit the fresh one.
-        const double p = static_cast<double>(key.num) / static_cast<double>(key.den);
-        auto model = std::make_shared<const Binomial>(m, p);
+        // The key holds the caller's own double good/total, so the cached
+        // model is bit-for-bit the fresh one.
+        auto model = std::make_shared<const Binomial>(m, std::bit_cast<double>(key.p_bits));
         {
             const std::unique_lock lock{mutex_};
             cache_.emplace(std::piecewise_construct, std::forward_as_tuple(key),
@@ -128,8 +130,9 @@ void ReferenceModelCache::evict_excess_locked() {
     // — quadratic for a caller whose working set exceeds the capacity
     // (one long suffix ladder can touch more keys than fit).  Batching
     // the scan amortizes eviction to O(1) per insert.  Stamp order is the
-    // recency order: stamps are unique (a monotone tick) and hits cannot
-    // race this scan (they share the mutex we hold exclusively).
+    // recency order at miss granularity (entries touched since the same
+    // miss tie), and hits cannot race this scan (they share the mutex we
+    // hold exclusively).
     const std::size_t target = capacity_ - capacity_ / 8;
     const std::size_t excess = cache_.size() - target;
     std::vector<std::uint64_t> stamps;

@@ -13,14 +13,13 @@
 ///
 /// Two properties make the cache safe to put on the verdict path:
 ///
-///  * **Exact keying.**  Keys are the window size m plus the rational p̂
-///    reduced to lowest terms — NOT a quantized bucket.  IEEE-754 division
-///    is correctly rounded, so (good/g) / (total/g) and good / total are
-///    the same double whenever the integers convert to double exactly
-///    (they are below 2^53 in any real workload; callers with larger
-///    totals must construct fresh models).  A cached model is therefore
-///    bit-identical to a freshly constructed one — verdicts, distances and
-///    margins cannot drift by even one ulp.
+///  * **Exact keying.**  Keys are the window size m plus the bit pattern
+///    of the double p̂ = good / total — NOT a quantized bucket.  A model is
+///    a pure function of (m, p̂), and the cache builds it from exactly the
+///    double a caller computes for `Binomial{m, good / total}`, so a cached
+///    model is bit-identical to a freshly constructed one — verdicts,
+///    distances and margins cannot drift by even one ulp.  Equal fractions
+///    (1/2, 500/1000) divide to the same double and share one entry.
 ///  * **Single-flight construction.**  Concurrent misses of the same key
 ///    join one in-flight construction (the stats::Calibrator discipline)
 ///    instead of each building the table.
@@ -28,8 +27,10 @@
 /// Values are handed out as shared_ptr<const Binomial>, so an entry evicted
 /// while a reader still holds it simply outlives its cache slot.  The cache
 /// is bounded: inserting beyond `capacity` evicts the least-recently-used
-/// entry.  Hits take a shared lock and bump a per-entry atomic recency
-/// stamp; only misses and evictions take the exclusive lock.
+/// entries, with recency counted in misses.  Hits take a shared lock and
+/// stamp the entry with the current miss tick (a plain store, and only
+/// when the stamp changes); only misses and evictions take the exclusive
+/// lock.
 
 #include <atomic>
 #include <cstdint>
@@ -54,23 +55,22 @@ struct ReferenceModelCacheStats {
 };
 
 /// Thread-safe LRU cache of immutable Binomial reference models keyed by
-/// (m, p̂ as an exact reduced rational).
+/// (m, p̂ as an exact double).
 class ReferenceModelCache {
 public:
-    /// Default resident-model bound.  A key is (m, reduced p̂); a serving
-    /// deployment with one window size touches roughly one key per
-    /// distinct (good, total) pair its suffix ladders produce, so a few
-    /// thousand entries cover steady state with room to spare.
-    static constexpr std::size_t kDefaultCapacity = 4096;
+    /// Default resident-model bound.  A key is (m, p̂); a deployment with
+    /// one window size touches roughly one key per distinct (good, total)
+    /// pair its suffix ladders produce.  A few thousand cover a serving
+    /// horizon; the bound holds one whole batch ladder of a
+    /// 200k-transaction history (10,000 stages), which would otherwise
+    /// cycle through the cache and miss on every stage.
+    static constexpr std::size_t kDefaultCapacity = 16384;
 
     /// \param capacity  maximum resident entries (minimum 1).
     explicit ReferenceModelCache(std::size_t capacity = kDefaultCapacity);
 
     /// The reference model B(m, good/total); total == 0 yields B(m, 0).
-    ///
-    /// Bit-identity with `Binomial{m, double(good)/double(total)}` is
-    /// guaranteed while good and total are exactly representable as
-    /// doubles (< 2^53).
+    /// Bit-identical to `Binomial{m, double(good) / double(total)}`.
     /// \throws std::invalid_argument if good > total.
     [[nodiscard]] std::shared_ptr<const Binomial> reference(std::uint32_t m,
                                                             std::uint64_t good,
@@ -91,13 +91,12 @@ public:
     [[nodiscard]] static ReferenceModelCache& process_wide();
 
 private:
-    /// p̂ in lowest terms: num/den = good/total with gcd divided out
-    /// (0/1 when total == 0).  Exactness of the key is what makes cached
-    /// and fresh models bit-identical.
+    /// m and the bit pattern of p̂ = good / total (0.0 when total == 0).
+    /// Exactness of the key is what makes cached and fresh models
+    /// bit-identical.
     struct Key {
         std::uint32_t m;
-        std::uint64_t num;
-        std::uint64_t den;
+        std::uint64_t p_bits;
         auto operator<=>(const Key&) const = default;
     };
 
@@ -105,15 +104,15 @@ private:
         Entry(std::shared_ptr<const Binomial> m, std::uint64_t stamp)
             : model(std::move(m)), last_used(stamp) {}
         std::shared_ptr<const Binomial> model;
-        std::atomic<std::uint64_t> last_used;  ///< recency stamp (global tick)
+        std::atomic<std::uint64_t> last_used;  ///< recency stamp (miss tick)
     };
 
-    /// splitmix64-style mix of (m, num, den).  The hot path is one hash
+    /// splitmix64-style mix of (m, p̂ bits).  The hot path is one hash
     /// plus one bucket probe — measurably cheaper than the pointer-chasing
     /// compares of an ordered map at steady-state occupancy.
     struct KeyHash {
         [[nodiscard]] std::size_t operator()(const Key& key) const noexcept {
-            std::uint64_t h = key.num + 0x9e3779b97f4a7c15ULL * (key.den + key.m);
+            std::uint64_t h = key.p_bits + 0x9e3779b97f4a7c15ULL * key.m;
             h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
             h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
             return static_cast<std::size_t>(h ^ (h >> 31));
@@ -122,6 +121,8 @@ private:
 
     [[nodiscard]] static Key make_key(std::uint32_t m, std::uint64_t good,
                                       std::uint64_t total);
+    /// Hit bookkeeping (recency stamp, counters); returns the model.
+    [[nodiscard]] const std::shared_ptr<const Binomial>& hit(Entry& entry) noexcept;
     [[nodiscard]] std::uint64_t next_stamp() noexcept {
         return tick_.fetch_add(1, std::memory_order_relaxed) + 1;
     }

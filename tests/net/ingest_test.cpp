@@ -19,6 +19,7 @@
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "obs/introspection.h"
+#include "obs/metrics.h"
 #include "repsys/store.h"
 #include "repsys/trust.h"
 #include "serve/batch_assessor.h"
@@ -195,6 +196,24 @@ TEST(IngestService, AcceptedBatchLandsInStoreAndScreenerBank) {
     EXPECT_EQ(assessor.tracked_streams(), 1u);  // observe() ran per record
     EXPECT_EQ(service.accepted_requests(), 1u);
     EXPECT_EQ(service.accepted_records(), 3u);
+}
+
+TEST(IngestService, ScreenStageIsTimedOncePerAcceptedRequest) {
+    repsys::FeedbackStore store;
+    auto assessor = make_assessor();
+    IngestService service{store, assessor};
+    const obs::Histogram& screen =
+        obs::default_registry().histogram("hpr_ingest_screen_seconds");
+    const std::uint64_t before = screen.count();
+
+    HttpRequest request;
+    request.method = "POST";
+    request.body = "7 1 1\n7 2 1\n7 3 0\n7 4 1\n";
+    EXPECT_EQ(service.handle_ingest(request).status, 200);
+    EXPECT_EQ(screen.count(), before + 1);  // one timer for four records
+    request.body = "7 5 bogus\n";
+    EXPECT_EQ(service.handle_ingest(request).status, 400);
+    EXPECT_EQ(screen.count(), before + 1);  // rejected batches screen nothing
 }
 
 TEST(IngestService, MalformedLineRejects400AndMutatesNothing) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -51,6 +53,9 @@ TEST(Calibrator, RejectsBadConfig) {
     EXPECT_THROW(Calibrator{bad}, std::invalid_argument);
     bad = {};
     bad.windows_grid_ratio = 0.9;
+    EXPECT_THROW(Calibrator{bad}, std::invalid_argument);
+    bad = {};
+    bad.windows_cap = Calibrator::kMaxWindowsCap + 1;
     EXPECT_THROW(Calibrator{bad}, std::invalid_argument);
 }
 
@@ -140,6 +145,61 @@ TEST(Calibrator, EffectiveWindowsGridIsMonotoneAndConservative) {
         }
         prev = bucket;
     }
+}
+
+/// The per-call geometric-grid walk effective_windows() used before the
+/// grid was tabulated at construction — kept here as the oracle.
+std::size_t grid_walk(std::size_t windows, std::size_t cap, double ratio) {
+    std::size_t k = std::min(windows, cap);
+    if (ratio > 1.0) {
+        std::size_t point = 1;
+        std::size_t best = 1;
+        while (point <= k) {
+            best = point;
+            const auto next = static_cast<std::size_t>(
+                std::floor(static_cast<double>(point) * ratio));
+            point = std::max(point + 1, next);
+        }
+        k = best;
+    }
+    return k;
+}
+
+TEST(Calibrator, EffectiveWindowsTableEqualsTheGridWalk) {
+    for (const double ratio : {1.0, 1.05, 1.15, 2.0}) {
+        for (const std::size_t cap : {std::size_t{1}, std::size_t{7}, std::size_t{2048}}) {
+            CalibrationConfig config;
+            config.windows_grid_ratio = ratio;
+            config.windows_cap = cap;
+            const Calibrator cal{config};
+            EXPECT_EQ(cal.effective_windows(0), ratio > 1.0 ? 1u : 0u)
+                << "ratio " << ratio << " cap " << cap;
+            for (std::size_t k = 0; k <= cap + 64; ++k) {
+                ASSERT_EQ(cal.effective_windows(k), grid_walk(k, cap, ratio))
+                    << "k " << k << " ratio " << ratio << " cap " << cap;
+            }
+        }
+    }
+}
+
+TEST(Calibrator, HitIndexKeepsWindowSizesApartAndCountsEveryHit) {
+    // m = 10 and m = 20 share a (grid point, p bucket) slot of the hit
+    // index; each must still get its own sample, and every repeat lookup
+    // of either is a counted hit.
+    Calibrator cal;
+    const auto& m10 = cal.null_distances(40, 10, 0.9);
+    const auto& m20 = cal.null_distances(40, 20, 0.9);
+    EXPECT_NE(&m10, &m20);
+    EXPECT_EQ(cal.stats().hits, 0u);
+    EXPECT_EQ(&cal.null_distances(40, 10, 0.9), &m10);
+    EXPECT_EQ(&cal.null_distances(41, 20, 0.9), &m20);  // same grid point
+    EXPECT_EQ(cal.stats().hits, 2u);
+    EXPECT_EQ(cal.compute_count(), 2u);
+    // Cleared entries leave the index too: the next lookup recomputes.
+    cal.clear_cache();
+    (void)cal.threshold(40, 10, 0.9);
+    EXPECT_EQ(cal.compute_count(), 3u);
+    EXPECT_EQ(cal.stats().hits, 2u);
 }
 
 TEST(Calibrator, ExactModeWithUnitGridRatio) {
@@ -503,6 +563,35 @@ TEST(Calibrator, LoadRejectsInvalidKeysWithLineNumbers) {
                 << "no line number for " << test_case.reason << ": " << error.what();
         }
         EXPECT_EQ(cal.cache_size(), 0u) << test_case.reason;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(Calibrator, LoadValidatesWindowKeysAgainstTheGridTable) {
+    // Ratio 2 and cap 64: the grid is 1, 2, 4, 8, 16, 32, 64.
+    CalibrationConfig config;
+    config.windows_grid_ratio = 2.0;
+    config.windows_cap = 64;
+    for (const char* key_text : {"4 10 230", "64 10 230"}) {
+        Calibrator donor;
+        const auto path = write_cache_with_key(donor, key_text);
+        Calibrator cal{config};
+        cal.load_cache(path);
+        EXPECT_EQ(cal.cache_size(), 1u) << key_text;
+        std::remove(path.c_str());
+    }
+    for (const char* key_text : {"3 10 230", "48 10 230", "128 10 230"}) {
+        Calibrator donor;
+        const auto path = write_cache_with_key(donor, key_text);
+        Calibrator cal{config};
+        try {
+            cal.load_cache(path);
+            FAIL() << "accepted off-grid key " << key_text;
+        } catch (const std::runtime_error& error) {
+            EXPECT_NE(std::string{error.what()}.find("line 2"), std::string::npos)
+                << key_text << ": " << error.what();
+        }
+        EXPECT_EQ(cal.cache_size(), 0u) << key_text;
         std::remove(path.c_str());
     }
 }

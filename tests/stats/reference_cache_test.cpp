@@ -1,5 +1,5 @@
 // Unit tests for the shared reference-model cache
-// (stats/reference_cache.h): exact-rational keying, bit-identity with
+// (stats/reference_cache.h): exact p̂ keying, bit-identity with
 // fresh construction, the LRU capacity bound, and the stats snapshot.
 
 #include "stats/reference_cache.h"
@@ -28,7 +28,7 @@ TEST(ReferenceModelCache, EmptyHistoryIsDegenerateZero) {
 
 TEST(ReferenceModelCache, ExactRationalKeyingCollapsesEquivalentFractions) {
     ReferenceModelCache cache;
-    // 2/4, 1/2 and 500/1000 are the same rational: one construction, and
+    // 2/4, 1/2 and 500/1000 divide to the same p̂: one construction, and
     // every caller shares the identical model object.
     const auto a = cache.reference(10, 2, 4);
     const auto b = cache.reference(10, 1, 2);
