@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
                 rng.bernoulli(p) ? repsys::Rating::kPositive
                                  : repsys::Rating::kNegative});
         }
-        store.submit(tape);
+        store.ingest_batch(tape);
     }
 
     serve::BatchAssessorConfig config;

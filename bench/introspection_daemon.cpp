@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
                 rng.bernoulli(p) ? repsys::Rating::kPositive
                                  : repsys::Rating::kNegative});
         }
-        store.submit(tape);
+        store.ingest_batch(tape);
     }
 
     serve::BatchAssessorConfig config;

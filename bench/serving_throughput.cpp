@@ -106,12 +106,12 @@ double run_ingest(const Workload& workload, repsys::FeedbackStore& store,
                 for (const auto& feedback : workload.per_server[s]) {
                     batch.push_back(feedback);
                     if (batch.size() == 512) {
-                        store.submit(batch);
+                        store.ingest_batch(batch);
                         batch.clear();
                     }
                 }
             }
-            if (!batch.empty()) store.submit(batch);
+            if (!batch.empty()) store.ingest_batch(batch);
         });
     }
     for (auto& worker : pool) worker.join();

@@ -256,7 +256,6 @@ int main(int argc, char** argv) {
             all_budgets_met = false;
         }
     }
-    (void)bank.stream_memory_bytes();  // republish the bytes gauge post-eviction
 
     // ---- Phase 3: zero divergence ---------------------------------------
     // (a) bounded == unbounded while the stream fits the horizon;

@@ -39,7 +39,7 @@
 //                                    [--blackbox=PATH]
 //
 // Exercises: repsys::FeedbackStore (sharded), serve::BatchAssessor's
-// incremental screener bank over core::OnlineScreener,
+// streaming screener bank over core::OnlineScreener,
 // core::TwoPhaseAssessor as the batch oracle, repsys::EigenTrust,
 // repsys::CredibilityWeightedTrust, core::ChangePointDetector,
 // obs::Registry + exporters, obs::Tracer, obs::FlightRecorder +
@@ -55,6 +55,8 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -83,7 +85,8 @@ int usage(const char* argv0) {
                  "  --threads=N       batch-assessment threads (default: hardware)\n"
                  "  --shards=N        feedback-store lock stripes (default: %zu)\n"
                  "  --horizon=W       screener retention horizon in complete windows\n"
-                 "                    (default: 64; 0 = unbounded)\n"
+                 "                    (default: 64; at least the screening's\n"
+                 "                    min_windows, 3)\n"
                  "  --listen=PORT     daemon mode: serve the introspection tree on\n"
                  "                    127.0.0.1:PORT while ingesting+assessing live\n"
                  "                    load, until SIGINT/SIGTERM (tracing enabled)\n"
@@ -398,6 +401,29 @@ int main(int argc, char** argv) {
 
     repsys::FeedbackStore store{shards};
     const auto calibrator = core::make_calibrator({});
+
+    // The serving layer, streaming-first: every ingested feedback also
+    // updates its server's horizon-bounded screener in the bank, so
+    // assessments can later answer from standing stream state.  Built
+    // before the warm start so that a horizon it rejects is a usage
+    // error, not a failure after a minute of calibration.
+    serve::BatchAssessorConfig serve_config;
+    serve_config.assessment.mode = core::ScreeningMode::kMulti;
+    serve_config.assessment.test.bonferroni = true;
+    serve_config.threads = threads;
+    serve_config.screener_horizon = horizon;
+    std::optional<serve::BatchAssessor> bank;
+    try {
+        bank.emplace(serve_config,
+                     std::shared_ptr<const repsys::TrustFunction>{
+                         repsys::make_trust_function("beta")},
+                     calibrator);
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+        return usage(argv[0]);
+    }
+    serve::BatchAssessor& assessor = *bank;
+
     {
         // Warm-start the shared calibrator across its worker pool before
         // traffic arrives: every window-count bucket a 1000-transaction
@@ -413,20 +439,6 @@ int main(int argc, char** argv) {
                     warmed, warm_s, calibrator->threads(),
                     warm_s > 0.0 ? static_cast<double>(warmed) / warm_s : 0.0);
     }
-
-    // The serving layer, streaming-first: every ingested feedback also
-    // updates its server's horizon-bounded screener in the bank, so
-    // assessments can later answer from standing stream state.
-    serve::BatchAssessorConfig serve_config;
-    serve_config.assessment.mode = core::ScreeningMode::kMulti;
-    serve_config.assessment.test.bonferroni = true;
-    serve_config.threads = threads;
-    serve_config.screener_horizon = horizon;
-    serve::BatchAssessor assessor{
-        serve_config,
-        std::shared_ptr<const repsys::TrustFunction>{
-            repsys::make_trust_function("beta")},
-        calibrator};
 
     if (listen) {
         return run_daemon(store, assessor, calibrator, servers,

@@ -274,7 +274,7 @@ void HttpServer::start() {
         throw std::runtime_error("HttpServer: bind " + config_.bind_address + ":" +
                                  std::to_string(config_.port) + ": " + error);
     }
-    if (::listen(listen_fd_, config_.backlog) != 0) {
+    if (::listen(listen_fd_, kListenBacklog) != 0) {
         const std::string error = std::strerror(errno);
         close_listener();
         throw std::runtime_error("HttpServer: listen: " + error);
@@ -585,7 +585,7 @@ void HttpServer::run_loop() {
             drain_deadline =
                 Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                    std::chrono::duration<double>(
-                                       config_.drain_timeout_seconds));
+                                       kDrainTimeoutSeconds));
             ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
         }
         if (draining && connections.empty() && discarding.empty()) break;

@@ -41,7 +41,7 @@
 ///  * **graceful drain**: request_stop() is async-signal-safe (one
 ///    eventfd write), so SIGINT/SIGTERM handlers can call it directly;
 ///    the loop then stops accepting, finishes in-flight responses for
-///    up to `drain_timeout_seconds`, and exits.
+///    up to HttpServer::kDrainTimeoutSeconds, and exits.
 ///
 /// Every response carries `Connection: close` — scrape traffic is one
 /// request per connection, which keeps connection state machines to a
@@ -126,13 +126,6 @@ struct HttpServerConfig {
     /// headers; a slow-loris that misses it draws a best-effort 408 and
     /// a close.  Also bounds how long an unflushed response may linger.
     double request_timeout_seconds = 5.0;
-
-    /// How long stop() keeps serving in-flight connections before
-    /// force-closing them.
-    double drain_timeout_seconds = 2.0;
-
-    /// listen(2) backlog.
-    int backlog = 64;
 };
 
 /// The epoll front-end.  start() spawns the event-loop thread; the
@@ -142,6 +135,13 @@ struct HttpServerConfig {
 /// called from any thread; request_stop is async-signal-safe.
 class HttpServer {
 public:
+    /// How long stop() keeps serving in-flight connections before
+    /// force-closing them.
+    static constexpr double kDrainTimeoutSeconds = 2.0;
+
+    /// listen(2) backlog.
+    static constexpr int kListenBacklog = 64;
+
     /// \throws std::invalid_argument if handler is null.
     HttpServer(HttpServerConfig config, HttpHandler handler);
 

@@ -134,68 +134,6 @@ void FeedbackStore::submit(const Feedback& feedback) {
     publish_level_metrics();
 }
 
-void FeedbackStore::submit(const std::vector<Feedback>& feedbacks) {
-    if (feedbacks.empty()) return;
-    // One routing pass: per-shard index lists, batch order preserved.
-    std::vector<std::vector<std::size_t>> groups(shards_.size());
-    for (std::size_t i = 0; i < feedbacks.size(); ++i) {
-        groups[shard_of(feedbacks[i].server)].push_back(i);
-    }
-    StoreMetrics& metrics = store_metrics();
-    std::size_t max_log = 0;
-    std::size_t max_occupancy = 0;
-    for (std::size_t s = 0; s < groups.size(); ++s) {
-        const auto& group = groups[s];
-        if (group.empty()) continue;
-        Shard& shard = *shards_[s];
-        const auto lock = lock_shard(shard);
-        // Validate the whole slice before touching the shard: a feedback
-        // must not precede its server's latest time, counting both the
-        // resident log and earlier feedbacks of this very batch.
-        std::map<EntityId, Timestamp> pending_last;
-        for (const std::size_t i : group) {
-            const Feedback& f = feedbacks[i];
-            auto [it, inserted] = pending_last.try_emplace(f.server);
-            if (inserted) {
-                const auto log = shard.logs.find(f.server);
-                if (log == shard.logs.end() || log->second.empty()) {
-                    it->second = f.time;  // first feedback sets the clock
-                } else {
-                    it->second = log->second.feedbacks().back().time;
-                }
-            }
-            if (f.time < it->second) {
-                throw std::invalid_argument(
-                    "FeedbackStore::submit: batch feedback at t=" +
-                    std::to_string(f.time) + " precedes server " +
-                    std::to_string(f.server) + "'s latest feedback at t=" +
-                    std::to_string(it->second) +
-                    " (shard slice rejected whole)");
-            }
-            it->second = f.time;
-        }
-        // Apply: validated above, so no append can throw mid-slice.
-        std::size_t new_servers = 0;
-        for (const std::size_t i : group) {
-            const Feedback& f = feedbacks[i];
-            auto [it, inserted] = shard.logs.try_emplace(f.server);
-            if (inserted) ++new_servers;
-            it->second.append(f);
-            if (it->second.size() > max_log) max_log = it->second.size();
-        }
-        if (shard.logs.size() > max_occupancy) max_occupancy = shard.logs.size();
-        total_.fetch_add(group.size(), std::memory_order_relaxed);
-        if (new_servers > 0) {
-            server_count_.fetch_add(static_cast<std::int64_t>(new_servers),
-                                    std::memory_order_relaxed);
-        }
-        metrics.ingested.increment(group.size());
-    }
-    metrics.history_length_max.set_max(static_cast<std::int64_t>(max_log));
-    metrics.shard_occupancy_max.set_max(static_cast<std::int64_t>(max_occupancy));
-    publish_level_metrics();
-}
-
 void FeedbackStore::ingest_batch(const std::vector<Feedback>& feedbacks) {
     if (feedbacks.empty()) return;
     std::vector<std::vector<std::size_t>> groups(shards_.size());

@@ -14,11 +14,11 @@
 ///
 /// The store is **sharded and thread-safe**: server ids map onto N
 /// lock-striped shards through a splitmix64 mix, so concurrent submitters
-/// of different servers almost never contend, and a batch submit groups
+/// of different servers almost never contend, and a batch ingest groups
 /// its feedbacks per shard to take each shard lock exactly once.  The
 /// concurrency contract, per method:
 ///
-///  * `submit` (single and batch), `evict_before`, `contains`,
+///  * `submit`, `ingest_batch`, `evict_before`, `contains`,
 ///    `history_snapshot`, `servers`, `between`, `issued_by`,
 ///    `sample_history`, `size`, `server_count`, `save` — safe to call
 ///    from any number of threads concurrently;
@@ -32,13 +32,11 @@
 ///    feedback submitted concurrently may or may not be included, but
 ///    every included per-server history is a valid prefix of the log.
 ///
-/// Batch ingest is all-or-nothing *per shard*: each shard's slice of the
-/// batch is validated (per-server time ordering, including order within
-/// the batch itself) before any of it is applied, so a mid-batch
-/// out-of-order timestamp rejects that entire shard's slice.  Shards are
-/// processed in ascending shard-index order; slices applied to earlier
-/// shards before the failing one stay applied (the exception reports the
-/// first violation).
+/// Batch ingest (`ingest_batch`) is all-or-nothing across the whole
+/// batch: every target shard is locked in ascending index order, every
+/// slice is validated (per-server time ordering, including order within
+/// the batch itself), and only a fully admissible batch is applied.  A
+/// rejected batch leaves the store exactly as it was.
 ///
 /// It also supports the paper's practical note that "our scheme can be
 /// equally applied to systems where only portions of feedbacks can be
@@ -103,19 +101,12 @@ public:
     /// latest recorded feedback (per-server logs are time-ordered).
     void submit(const Feedback& feedback);
 
-    /// Ingest a batch: feedbacks are grouped per shard in one pass and
-    /// each shard lock is taken exactly once.  Validation is
-    /// all-or-nothing per shard (see the file comment).
-    void submit(const std::vector<Feedback>& feedbacks);
-
-    /// Ingest a batch all-or-nothing across the WHOLE batch (contrast
-    /// submit(vector), which is all-or-nothing per shard): every target
-    /// shard is locked in ascending index order, every slice is
-    /// validated, and only a fully admissible batch is applied — on
-    /// rejection the store is byte-identical to its pre-call state.
-    /// This is the network ingest path's transaction contract: a request
-    /// either lands completely or not at all, no matter how its records
-    /// spread across shards.
+    /// Ingest a batch all-or-nothing: every target shard is locked once,
+    /// in ascending index order, every slice is validated, and only a
+    /// fully admissible batch is applied — on rejection the store is
+    /// byte-identical to its pre-call state.  This is the network ingest
+    /// path's transaction contract: a request either lands completely or
+    /// not at all, no matter how its records spread across shards.
     /// \throws BatchRejected carrying the smallest offending batch index
     ///         (a feedback older than its server's latest recorded time,
     ///         counting earlier feedbacks of this very batch).

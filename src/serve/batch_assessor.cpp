@@ -3,6 +3,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -56,6 +57,24 @@ std::size_t resolve_threads(std::size_t configured) {
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+/// Lock stripes of the screener bank: enough that 8 observing threads
+/// rarely collide, as for the store's shards.
+constexpr std::size_t kScreenerStripes = 16;
+
+/// The config, once its horizon is known to be screenable.  Checked
+/// here, before the pool spawns, rather than on the first observe(),
+/// which would throw after the caller had already committed the batch.
+BatchAssessorConfig checked(BatchAssessorConfig config) {
+    if (config.screener_horizon < config.assessment.test.base.min_windows) {
+        throw std::invalid_argument(
+            "BatchAssessor: screener_horizon " +
+            std::to_string(config.screener_horizon) +
+            " is below the screening's min_windows " +
+            std::to_string(config.assessment.test.base.min_windows));
+    }
+    return config;
+}
+
 /// Rough per-node overhead of the std::map the bank stores screeners in:
 /// left/right/parent pointers, color, and the key.
 constexpr std::size_t kStreamNodeOverhead =
@@ -72,22 +91,22 @@ struct BatchAssessor::ScreenerStripe {
 BatchAssessor::BatchAssessor(BatchAssessorConfig config,
                              std::shared_ptr<const repsys::TrustFunction> trust,
                              std::shared_ptr<stats::Calibrator> calibrator)
-    : config_(config),
+    : config_(checked(config)),
       assessor_(config.assessment, std::move(trust), std::move(calibrator)),
       threads_(resolve_threads(config.threads)),
       pool_(threads_ - 1) {
-    if (config_.incremental) {
-        const std::size_t stripes =
-            config_.screener_stripes == 0 ? 1 : config_.screener_stripes;
-        stripes_.reserve(stripes);
-        for (std::size_t i = 0; i < stripes; ++i) {
-            stripes_.push_back(std::make_unique<ScreenerStripe>());
-        }
+    stripes_.reserve(kScreenerStripes);
+    for (std::size_t i = 0; i < kScreenerStripes; ++i) {
+        stripes_.push_back(std::make_unique<ScreenerStripe>());
     }
     serve_metrics().threads.set(static_cast<std::int64_t>(threads_));
 }
 
-BatchAssessor::~BatchAssessor() = default;
+BatchAssessor::~BatchAssessor() {
+    ServeMetrics& metrics = serve_metrics();
+    metrics.screener_streams.sub(static_cast<std::int64_t>(tracked_streams()));
+    metrics.screener_bytes.sub(static_cast<std::int64_t>(stream_memory_bytes()));
+}
 
 BatchAssessor::ScreenerStripe& BatchAssessor::stripe_for(
     repsys::EntityId server) const {
@@ -96,7 +115,6 @@ BatchAssessor::ScreenerStripe& BatchAssessor::stripe_for(
 }
 
 void BatchAssessor::observe(const repsys::Feedback& feedback) {
-    if (stripes_.empty()) return;
     ScreenerStripe& stripe = stripe_for(feedback.server);
     bool created = false;
     std::size_t created_bytes = 0;
@@ -106,8 +124,6 @@ void BatchAssessor::observe(const repsys::Feedback& feedback) {
         if (it == stripe.screeners.end()) {
             core::OnlineScreenerConfig screener_config;
             screener_config.test = config_.assessment.test;
-            screener_config.patience = config_.patience;
-            screener_config.recovery = config_.recovery;
             screener_config.max_windows = config_.screener_horizon;
             it = stripe.screeners
                      .emplace(feedback.server,
@@ -129,7 +145,6 @@ void BatchAssessor::observe(const repsys::Feedback& feedback) {
 }
 
 core::StreamState BatchAssessor::stream_state(repsys::EntityId server) const {
-    if (stripes_.empty()) return core::StreamState::kInsufficient;
     const ScreenerStripe& stripe = stripe_for(server);
     const std::lock_guard<std::mutex> lock{stripe.mutex};
     const auto it = stripe.screeners.find(server);
@@ -139,7 +154,6 @@ core::StreamState BatchAssessor::stream_state(repsys::EntityId server) const {
 
 std::optional<BatchAssessor::StreamInfo> BatchAssessor::stream_info(
     repsys::EntityId server) const {
-    if (stripes_.empty()) return std::nullopt;
     const ScreenerStripe& stripe = stripe_for(server);
     const std::lock_guard<std::mutex> lock{stripe.mutex};
     const auto it = stripe.screeners.find(server);
@@ -160,7 +174,6 @@ std::optional<BatchAssessor::StreamInfo> BatchAssessor::stream_info(
 }
 
 std::size_t BatchAssessor::drop_streams(std::span<const repsys::EntityId> servers) {
-    if (stripes_.empty()) return 0;
     std::size_t dropped = 0;
     std::size_t released_bytes = 0;
     for (const repsys::EntityId server : servers) {
@@ -181,18 +194,6 @@ std::size_t BatchAssessor::drop_streams(std::span<const repsys::EntityId> server
     return dropped;
 }
 
-std::size_t BatchAssessor::evict_streams(const repsys::FeedbackStore& store) {
-    if (stripes_.empty()) return 0;
-    std::vector<repsys::EntityId> stale;
-    for (const auto& stripe : stripes_) {
-        const std::lock_guard<std::mutex> lock{stripe->mutex};
-        for (const auto& [server, screener] : stripe->screeners) {
-            if (!store.contains(server)) stale.push_back(server);
-        }
-    }
-    return drop_streams(stale);
-}
-
 std::size_t BatchAssessor::tracked_streams() const {
     std::size_t total = 0;
     for (const auto& stripe : stripes_) {
@@ -210,14 +211,13 @@ std::size_t BatchAssessor::stream_memory_bytes() const {
             total += screener.memory_bytes() + kStreamNodeOverhead;
         }
     }
-    serve_metrics().screener_bytes.set(static_cast<std::int64_t>(total));
     return total;
 }
 
 core::Assessment BatchAssessor::assess_one(const repsys::FeedbackStore& store,
                                            repsys::EntityId server,
                                            bool use_streams) const {
-    if (use_streams && config_.incremental) {
+    if (use_streams) {
         // The standing screener state replaces the O(n) phase-1 rescan
         // once the stream has been judged at least once; insufficient
         // streams fall through to the full scan below.

@@ -12,8 +12,8 @@
 /// whole community's transaction rate.  BatchAssessor therefore serves
 /// from two paths:
 ///
-/// **Primary — the streaming screener bank** (on by default).  One
-/// core::OnlineScreener per observed server, lock-striped like the
+/// **Primary — the streaming screener bank.**  One core::OnlineScreener
+/// per observed server, spread over a fixed set of lock stripes like the
 /// store, each bounded to `screener_horizon` complete windows of
 /// retained state.  Feedbacks stream in through observe() at O(1)
 /// amortized per feedback; assess() answers from the screener's standing
@@ -21,10 +21,11 @@
 /// rescan, clear streams only pay phase 2 — and falls back to the full
 /// two-phase scan while a stream has not accumulated enough windows to
 /// be judged.  The bank's memory is bounded: horizon-bounded rings per
-/// stream, and drop_streams()/evict_streams() tie stream retention to
-/// FeedbackStore's eviction machinery, so evicting a server's cold
-/// history also releases its screener.  Streaming verdicts follow the
-/// streaming semantics (start-anchored windows, patience/recovery
+/// stream, and drop_streams() with the `forgotten` list of
+/// FeedbackStore::evict_before ties stream retention to store eviction,
+/// so evicting a server's cold history also releases its screener.
+/// Streaming verdicts follow the streaming semantics (start-anchored
+/// windows, core::OnlineScreenerConfig's default patience/recovery
 /// hysteresis), so they are intentionally NOT bit-identical to batch
 /// screening; over the retained horizon they agree with batch
 /// multi-testing of the newest horizon*m transactions
@@ -66,25 +67,12 @@ struct BatchAssessorConfig {
     /// are bit-identical at any thread count.
     std::size_t threads = 0;
 
-    /// Keep an OnlineScreener per observed server and let assess()
-    /// shortcut from its standing state (see the file comment).  On by
-    /// default: streaming is the primary serving mode; set to false for
-    /// pure batch (oracle-only) serving.
-    bool incremental = true;
-
-    /// Hysteresis of the incremental screeners (their test config is
-    /// taken from `assessment.test`).
-    std::size_t patience = 2;
-    std::size_t recovery = 2;
-
-    /// Retention horizon, in complete windows, of each incremental
-    /// screener (core::OnlineScreenerConfig::max_windows).  Bounded by
-    /// default so the bank's resident memory is O(tracked servers), not
-    /// O(stream age); 0 keeps unbounded per-stream state.
+    /// Retention horizon, in complete windows, of each streaming
+    /// screener (core::OnlineScreenerConfig::max_windows).  Always
+    /// bounded, so the bank's resident memory is O(tracked servers), not
+    /// O(stream age); must be at least `assessment.test.base.min_windows`
+    /// or no retained horizon could ever be screened.
     std::size_t screener_horizon = 64;
-
-    /// Lock stripes of the incremental screener bank.
-    std::size_t screener_stripes = 16;
 };
 
 /// One server's assessment out of a batch.
@@ -100,12 +88,16 @@ struct ServerAssessment {
 class BatchAssessor {
 public:
     /// \param trust  phase-2 trust function (must not be null).
-    /// \throws std::invalid_argument if trust is null.
+    /// \throws std::invalid_argument if trust is null or
+    ///         `config.screener_horizon` is below
+    ///         `config.assessment.test.base.min_windows`.
     BatchAssessor(BatchAssessorConfig config,
                   std::shared_ptr<const repsys::TrustFunction> trust,
                   std::shared_ptr<stats::Calibrator> calibrator = nullptr);
 
-    ~BatchAssessor();  // out of line: ScreenerStripe is incomplete here
+    /// Takes this bank's streams and bytes back out of the process-wide
+    /// hpr_serving_screener_* gauges.
+    ~BatchAssessor();
 
     /// Assess the given servers against the store, fanning across the
     /// pool.  Streaming-first: servers with a judged screener answer
@@ -128,13 +120,12 @@ public:
         const repsys::FeedbackStore& store,
         const std::vector<repsys::EntityId>& servers) const;
 
-    /// Incremental mode: feed one live feedback to its server's screener
-    /// (created on first sight).  O(1) amortized.  No-op when the config
-    /// did not enable incremental mode.
+    /// Feed one live feedback to its server's screener (created on first
+    /// sight).  O(1) amortized.
     void observe(const repsys::Feedback& feedback);
 
     /// Standing stream state of a server's screener; kInsufficient for
-    /// servers never observed (or when incremental mode is off).
+    /// servers never observed.
     [[nodiscard]] core::StreamState stream_state(repsys::EntityId server) const;
 
     /// Point-in-time detail of one live screener, copied under its
@@ -144,7 +135,7 @@ public:
         std::size_t transactions = 0;      ///< outcomes observed, lifetime
         std::size_t windows = 0;           ///< complete windows, lifetime
         std::size_t retained_windows = 0;  ///< windows inside the horizon
-        std::size_t horizon = 0;           ///< configured retention (0 = unbounded)
+        std::size_t horizon = 0;           ///< configured retention
         std::size_t evaluations = 0;       ///< ladder evaluations performed
         std::size_t failing_streak = 0;
         std::size_t passing_streak = 0;
@@ -154,31 +145,24 @@ public:
 
     /// Full standing state of a server's screener — what the live
     /// `/servers/<id>` introspection page renders; std::nullopt for
-    /// servers never observed or when incremental mode is off.
+    /// servers never observed.
     [[nodiscard]] std::optional<StreamInfo> stream_info(
         repsys::EntityId server) const;
 
-    /// Drop the screeners of the given servers (e.g. the `forgotten`
-    /// output of FeedbackStore::evict_before).  Returns how many live
-    /// screeners were released.
+    /// Drop the screeners of the given servers — the retention path:
+    /// pass the `forgotten` output of FeedbackStore::evict_before.
+    /// Returns how many live screeners were released.
     std::size_t drop_streams(std::span<const repsys::EntityId> servers);
-
-    /// Sync the bank against the store: drop every screener whose server
-    /// the store no longer knows (full retention reconciliation; prefer
-    /// drop_streams with evict_before's `forgotten` list when available).
-    /// Returns how many screeners were released.
-    std::size_t evict_streams(const repsys::FeedbackStore& store);
 
     /// Number of servers with a live screener.
     [[nodiscard]] std::size_t tracked_streams() const;
 
     /// Resident bytes of the screener bank (screener objects + ring
-    /// storage + an estimate of the map-node overhead).  The
-    /// hpr_serving_screener_bytes gauge is maintained incrementally as
-    /// streams are created and dropped — exact under a bounded horizon,
-    /// where a screener's footprint is constant for life — and this
-    /// full recount republishes it (the authoritative value when
-    /// screener_horizon is 0 and rings grow).
+    /// storage + an estimate of the map-node overhead), recounted under
+    /// the stripe locks.  The hpr_serving_screener_bytes gauge is kept
+    /// incrementally as streams are created and dropped; a bounded
+    /// screener's footprint is constant for life, so this assessor's
+    /// share of the gauge always equals the recount.
     [[nodiscard]] std::size_t stream_memory_bytes() const;
 
     /// Resolved executor count (pool workers + the caller).
@@ -208,7 +192,7 @@ private:
     core::TwoPhaseAssessor assessor_;
     std::size_t threads_;
     mutable stats::ThreadPool pool_;
-    std::vector<std::unique_ptr<ScreenerStripe>> stripes_;  ///< empty unless incremental
+    std::vector<std::unique_ptr<ScreenerStripe>> stripes_;
 };
 
 }  // namespace hpr::serve

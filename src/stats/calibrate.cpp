@@ -266,10 +266,13 @@ const std::vector<double>& Calibrator::null_for(const Key& key) {
     try {
         std::vector<double> null = compute_null(key);
         const std::scoped_lock lock{mutex_};
-        const Entry& stored = *cache_.emplace(key, std::move(null)).first;
+        // A load_cache() of this key may have landed meanwhile; its sample
+        // is the same, and the resident one wins.
+        const auto [it, inserted] = cache_.emplace(key, std::move(null));
+        const Entry& stored = *it;
         publish_locked(stored);
         inflight_.erase(key);
-        calibration_metrics().cache_entries.add(1);
+        if (inserted) calibration_metrics().cache_entries.add(1);
         promise.set_value(&stored.second);
         return stored.second;
     } catch (...) {
@@ -453,7 +456,10 @@ void Calibrator::load_cache(const std::string& path) {
     const std::scoped_lock lock{mutex_};
     std::int64_t fresh = 0;
     for (auto& [key, values] : loaded) {
-        const auto [it, inserted] = cache_.insert_or_assign(key, std::move(values));
+        // A resident sample stays: the hit index and null_distances()
+        // callers may hold it, and the file's sample for the same key is
+        // the same pure function of key and (header-checked) parameters.
+        const auto [it, inserted] = cache_.try_emplace(key, std::move(values));
         if (inserted) {
             publish_locked(*it);
             ++fresh;

@@ -183,6 +183,8 @@ public:
     void save_cache(const std::string& path) const;
 
     /// Merge null samples persisted by save_cache() into this cache.
+    /// Keys already resident keep their sample (and its address), so
+    /// loading is safe beside concurrent threshold() calls.
     /// The file's calibration parameters (distance kind, replications,
     /// p-grid, seed, chunking) must match this calibrator's, otherwise the
     /// stored samples would answer a different question; every key must

@@ -44,6 +44,10 @@ ReferenceModelCache::ReferenceModelCache(std::size_t capacity)
     cache_.reserve(capacity_ + 1);
 }
 
+ReferenceModelCache::~ReferenceModelCache() {
+    cache_metrics().entries.sub(static_cast<std::int64_t>(cache_.size()));
+}
+
 ReferenceModelCache::Key ReferenceModelCache::make_key(std::uint32_t m,
                                                        std::uint64_t good,
                                                        std::uint64_t total) {

@@ -69,6 +69,9 @@ public:
     /// \param capacity  maximum resident entries (minimum 1).
     explicit ReferenceModelCache(std::size_t capacity = kDefaultCapacity);
 
+    /// Takes this cache's models back out of hpr_refmodel_cache_entries.
+    ~ReferenceModelCache();
+
     /// The reference model B(m, good/total); total == 0 yields B(m, 0).
     /// Bit-identical to `Binomial{m, double(good) / double(total)}`.
     /// \throws std::invalid_argument if good > total.

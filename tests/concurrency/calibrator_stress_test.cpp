@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -65,6 +68,57 @@ TEST(CalibratorStress, ConcurrentProbesAndPublishesMatchSerialThresholds) {
     EXPECT_EQ(stats.cache_entries, serial.cache_size());
     EXPECT_EQ(stats.in_flight, 0u);
     EXPECT_GT(stats.hits, stats.misses);
+}
+
+TEST(CalibratorStress, ReloadingTheCacheBesideConcurrentHitsKeepsSamples) {
+    const auto path =
+        (std::filesystem::temp_directory_path() / "hpr_calibrator_reload_stress.cache")
+            .string();
+    CalibrationConfig config;
+    config.replications = 64;
+    config.threads = 1;
+    std::vector<Lookup> keys;
+    std::size_t saved_entries = 0;
+    {
+        Calibrator source{config};
+        for (std::size_t windows = 3; windows <= 40; windows += 3) {
+            for (const double p_hat : {0.8, 0.9, 0.95}) {
+                keys.push_back({windows, 10, p_hat, source.threshold(windows, 10, p_hat)});
+            }
+        }
+        source.save_cache(path);
+        saved_entries = source.cache_size();
+    }
+    Calibrator shared{config};
+    shared.load_cache(path);
+
+    // Four readers hit the loaded keys while the main thread reloads the
+    // same file: every reload meets resident keys, and must leave the
+    // samples the readers are quantiling in place.
+    constexpr std::size_t kReaders = 4;
+    constexpr std::size_t kReloads = 5;
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < kReaders; ++t) {
+        readers.emplace_back([&, t] {
+            std::size_t i = t;
+            do {
+                const Lookup& key = keys[i++ % keys.size()];
+                if (shared.threshold(key.windows, key.m, key.p_hat) != key.threshold) {
+                    mismatches.fetch_add(1, std::memory_order_relaxed);
+                }
+            } while (!done.load(std::memory_order_acquire));
+        });
+    }
+    for (std::size_t r = 0; r < kReloads; ++r) shared.load_cache(path);
+    done.store(true, std::memory_order_release);
+    for (auto& reader : readers) reader.join();
+    std::remove(path.c_str());
+
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_EQ(shared.cache_size(), saved_entries);
+    EXPECT_EQ(shared.stats().misses, 0u);  // every lookup was a loaded key
 }
 
 }  // namespace

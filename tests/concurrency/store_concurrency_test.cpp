@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -66,11 +68,11 @@ TEST(StoreConcurrency, ConcurrentSubmitConservesEveryFeedback) {
                     for (const auto& feedback : tape) {
                         batch.push_back(feedback);
                         if (batch.size() == 97) {
-                            store.submit(batch);
+                            store.ingest_batch(batch);
                             batch.clear();
                         }
                     }
-                    if (!batch.empty()) store.submit(batch);
+                    if (!batch.empty()) store.ingest_batch(batch);
                 }
             }
         });
@@ -86,6 +88,91 @@ TEST(StoreConcurrency, ConcurrentSubmitConservesEveryFeedback) {
         ASSERT_EQ(store.history(server).feedbacks(), expected.at(server))
             << "server " << server;
     }
+}
+
+TEST(StoreConcurrency, ContendedMultiShardBatchesCommitWholeOrNotAtAll) {
+    constexpr std::size_t kServersPerThread = 8;
+    constexpr std::size_t kPerServer = 240;
+    constexpr std::size_t kPerRound = 10;  // feedbacks per server per batch
+    constexpr std::size_t kRounds = kPerServer / kPerRound;
+    constexpr EntityId kPoisonClient = 999;
+    FeedbackStore store{16};
+
+    // Thread t owns servers t*8+1 .. t*8+8.  Each batch carries the next
+    // kPerRound feedbacks of every owned server, interleaved, so it spans
+    // several shards and overlaps the shards of every other thread.
+    std::map<EntityId, std::vector<Feedback>> expected;
+    std::vector<std::vector<std::vector<Feedback>>> batches(kThreads);
+    std::vector<std::vector<Feedback>> rejected_batch(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        std::vector<EntityId> owned;
+        std::vector<bool> shard_hit(store.shard_count(), false);
+        for (std::size_t i = 0; i < kServersPerThread; ++i) {
+            const auto server = static_cast<EntityId>(t * kServersPerThread + i + 1);
+            owned.push_back(server);
+            expected[server] = make_tape(server, kPerServer);
+            shard_hit[store.shard_of(server)] = true;
+        }
+        ASSERT_GE(std::count(shard_hit.begin(), shard_hit.end(), true), 4)
+            << "thread " << t << "'s batches must span at least 4 shards";
+        for (std::size_t r = 0; r < kRounds; ++r) {
+            std::vector<Feedback> batch;
+            for (std::size_t i = 0; i < kPerRound; ++i) {
+                for (const EntityId server : owned) {
+                    batch.push_back(expected.at(server)[r * kPerRound + i]);
+                }
+            }
+            batches[t].push_back(std::move(batch));
+        }
+        // Sent halfway: an admissible record for every owned server (newer
+        // than any tape time, from a client no tape uses), then one that
+        // precedes its server's resident tail.
+        for (const EntityId server : owned) {
+            rejected_batch[t].push_back(Feedback{static_cast<Timestamp>(10 * kPerServer),
+                                                 server, kPoisonClient,
+                                                 Rating::kPositive});
+        }
+        rejected_batch[t].push_back(
+            Feedback{1, owned.back(), kPoisonClient, Rating::kNegative});
+    }
+
+    std::atomic<std::size_t> rejections{0};
+    std::atomic<std::size_t> wrong_index{0};
+    std::atomic<std::size_t> failed_threads{0};
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            try {
+                for (std::size_t r = 0; r < kRounds; ++r) {
+                    store.ingest_batch(batches[t][r]);
+                    if (r + 1 != kRounds / 2) continue;
+                    try {
+                        store.ingest_batch(rejected_batch[t]);
+                    } catch (const BatchRejected& rejected) {
+                        rejections.fetch_add(1, std::memory_order_relaxed);
+                        if (rejected.index() != kServersPerThread) {
+                            wrong_index.fetch_add(1, std::memory_order_relaxed);
+                        }
+                    }
+                }
+            } catch (const std::exception&) {
+                failed_threads.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    for (auto& worker : pool) worker.join();
+
+    EXPECT_EQ(failed_threads.load(), 0u);
+    EXPECT_EQ(rejections.load(), kThreads);
+    EXPECT_EQ(wrong_index.load(), 0u);
+    // Every accepted feedback is stored, in its server's order, and the
+    // rejected batches left nothing behind.
+    ASSERT_EQ(store.size(), kThreads * kServersPerThread * kPerServer);
+    ASSERT_EQ(store.server_count(), kThreads * kServersPerThread);
+    for (const auto& [server, tape] : expected) {
+        ASSERT_EQ(store.history(server).feedbacks(), tape) << "server " << server;
+    }
+    EXPECT_TRUE(store.issued_by(kPoisonClient).empty());
 }
 
 TEST(StoreConcurrency, SnapshotsStayConsistentUnderConcurrentWrites) {
@@ -186,7 +273,7 @@ TEST(StoreConcurrency, AssessmentRacesIngestSafely) {
         for (std::size_t i = 0; i < kWarm; ++i) {
             warm.push_back(fb(static_cast<Timestamp>(i + 1), s, i % 10 != 0));
         }
-        store.submit(warm);
+        store.ingest_batch(warm);
     }
 
     serve::BatchAssessorConfig config;

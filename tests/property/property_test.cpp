@@ -493,7 +493,7 @@ TEST(ServingProperty, BatchAssessorEqualsSequentialLoopFuzz) {
                                      : repsys::Rating::kNegative});
             }
         }
-        store.submit(batch);
+        store.ingest_batch(batch);
 
         core::TwoPhaseConfig config;
         config.mode = core::ScreeningMode::kMulti;

@@ -17,8 +17,9 @@ Feedback fb(Timestamp t, EntityId server, EntityId client, bool good) {
 
 FeedbackStore sample_store() {
     FeedbackStore store;
-    store.submit({fb(1, 10, 100, true), fb(2, 10, 101, false), fb(3, 10, 100, true),
-                  fb(1, 20, 100, true), fb(5, 20, 102, true)});
+    store.ingest_batch(std::vector<Feedback>{
+        fb(1, 10, 100, true), fb(2, 10, 101, false), fb(3, 10, 100, true),
+        fb(1, 20, 100, true), fb(5, 20, 102, true)});
     return store;
 }
 
@@ -184,37 +185,38 @@ TEST(FeedbackStoreSharding, BatchRejectionIsAllOrNothingPerShard) {
     ASSERT_NE(bad, 0u);
     ASSERT_NE(good, 0u);
     EXPECT_THROW(
-        store.submit({fb(1, good, 100, true), fb(5, bad, 100, true),
-                      fb(3, bad, 101, true)}),
-        std::invalid_argument);
+        store.ingest_batch(std::vector<Feedback>{
+            fb(1, good, 100, true), fb(5, bad, 100, true), fb(3, bad, 101, true)}),
+        BatchRejected);
     EXPECT_EQ(store.size(), 0u);
     EXPECT_FALSE(store.contains(good));
     EXPECT_FALSE(store.contains(bad));
 }
 
-TEST(FeedbackStoreSharding, EarlierShardsStayAppliedOnLaterRejection) {
+TEST(FeedbackStoreSharding, EarlierShardsRollBackOnLaterRejection) {
     FeedbackStore store{4};
     const EntityId bad = server_in_shard(store, 3);
     const EntityId early = server_in_shard(store, 0);
     ASSERT_NE(bad, 0u);
     ASSERT_NE(early, 0u);
-    // Shard 0 is processed (and applied) before shard 3 rejects.
+    // Shard 0 is validated before shard 3 rejects, yet nothing lands.
     EXPECT_THROW(
-        store.submit({fb(1, early, 100, true), fb(5, bad, 100, true),
-                      fb(3, bad, 101, true)}),
-        std::invalid_argument);
-    EXPECT_TRUE(store.contains(early));
+        store.ingest_batch(std::vector<Feedback>{
+            fb(1, early, 100, true), fb(5, bad, 100, true), fb(3, bad, 101, true)}),
+        BatchRejected);
+    EXPECT_FALSE(store.contains(early));
     EXPECT_FALSE(store.contains(bad));
-    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(FeedbackStoreSharding, BatchRejectsRegressionAgainstResidentLog) {
     FeedbackStore store{4};
     store.submit(fb(10, 1, 100, true));
-    EXPECT_THROW(store.submit({fb(9, 1, 100, true)}), std::invalid_argument);
+    EXPECT_THROW(store.ingest_batch(std::vector<Feedback>{fb(9, 1, 100, true)}),
+                 BatchRejected);
     EXPECT_EQ(store.history(1).size(), 1u);
     // At-or-after the resident tail is fine (equal timestamps allowed).
-    store.submit({fb(10, 1, 101, true), fb(11, 1, 102, false)});
+    store.ingest_batch(std::vector<Feedback>{fb(10, 1, 101, true), fb(11, 1, 102, false)});
     EXPECT_EQ(store.history(1).size(), 3u);
 }
 
@@ -230,7 +232,7 @@ TEST(FeedbackStoreSharding, ShardCountDoesNotChangeContents) {
     FeedbackStore sequential{1};
     for (const auto& f : tape) sequential.submit(f);
     FeedbackStore sharded{7};
-    sharded.submit(tape);
+    sharded.ingest_batch(tape);
     ASSERT_EQ(sharded.servers(), sequential.servers());
     ASSERT_EQ(sharded.size(), sequential.size());
     for (const auto server : sequential.servers()) {
@@ -241,7 +243,7 @@ TEST(FeedbackStoreSharding, ShardCountDoesNotChangeContents) {
 
 TEST(FeedbackStoreSharding, SnapshotIsIndependentOfLaterWrites) {
     FeedbackStore store{4};
-    store.submit({fb(1, 1, 100, true), fb(2, 1, 101, false)});
+    store.ingest_batch(std::vector<Feedback>{fb(1, 1, 100, true), fb(2, 1, 101, false)});
     const TransactionHistory snapshot = store.history_snapshot(1);
     store.submit(fb(3, 1, 102, true));
     EXPECT_EQ(snapshot.size(), 2u);
@@ -344,7 +346,7 @@ TEST(FeedbackStoreIngestBatch, RejectionLeavesEveryShardUntouched) {
     store.submit(fb(5, 10, 0, true));
     // Spread the batch over several servers (hence shards); the offender
     // regresses server 10, which may hash to a LATER shard than some of
-    // the valid slices — unlike submit(vector), none of them may land.
+    // the valid slices — none of them may land.
     std::vector<Feedback> batch;
     for (EntityId server = 11; server <= 30; ++server) {
         batch.push_back(fb(1, server, 0, true));

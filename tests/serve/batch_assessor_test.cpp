@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/two_phase.h"
+#include "obs/metrics.h"
 #include "repsys/store.h"
 #include "repsys/trust.h"
 #include "stats/rng.h"
@@ -67,7 +68,7 @@ repsys::FeedbackStore mixed_store() {
                                  : repsys::Rating::kNegative});
         }
     }
-    store.submit(batch);
+    store.ingest_batch(batch);
     return store;
 }
 
@@ -202,7 +203,6 @@ TEST(BatchAssessorIncremental, ShortcutsFromStandingScreenerState) {
     BatchAssessorConfig config;
     config.assessment = assessment_config();
     config.threads = 2;
-    config.incremental = true;
     BatchAssessor assessor{config, beta_trust(), shared_cal()};
 
     stream(store, assessor, 1, 800, 0.96, 0.96);  // honest throughout
@@ -240,7 +240,6 @@ TEST(BatchAssessorIncremental, StreamInfoMirrorsTheLiveScreener) {
     repsys::FeedbackStore store{4};
     BatchAssessorConfig config;
     config.assessment = assessment_config();
-    config.incremental = true;
     config.screener_horizon = 8;
     BatchAssessor assessor{config, beta_trust(), shared_cal()};
 
@@ -258,32 +257,14 @@ TEST(BatchAssessorIncremental, StreamInfoMirrorsTheLiveScreener) {
     EXPECT_LE(info->p_hat, 1.0);
     EXPECT_GT(info->memory_bytes, 0u);
 
-    // Never-observed servers and a disabled bank answer nullopt.
+    // Never-observed servers answer nullopt.
     EXPECT_FALSE(assessor.stream_info(99).has_value());
-    BatchAssessorConfig batch_only;
-    batch_only.assessment = assessment_config();
-    batch_only.incremental = false;
-    const BatchAssessor oracle{batch_only, beta_trust(), shared_cal()};
-    EXPECT_FALSE(oracle.stream_info(1).has_value());
-}
-
-TEST(BatchAssessorIncremental, ObserveIsNoOpWhenDisabled) {
-    repsys::FeedbackStore store{4};
-    BatchAssessorConfig config;
-    config.assessment = assessment_config();
-    config.threads = 1;
-    config.incremental = false;  // opt out of the streaming default
-    BatchAssessor assessor{config, beta_trust(), shared_cal()};
-    assessor.observe(repsys::Feedback{1, 1, 2, repsys::Rating::kPositive});
-    EXPECT_EQ(assessor.tracked_streams(), 0u);
-    EXPECT_EQ(assessor.stream_state(1), core::StreamState::kInsufficient);
-    EXPECT_EQ(assessor.stream_memory_bytes(), 0u);
 }
 
 TEST(BatchAssessorIncremental, StreamingIsTheDefaultServingMode) {
     const BatchAssessorConfig config;
-    EXPECT_TRUE(config.incremental);
-    EXPECT_GT(config.screener_horizon, 0u);  // bounded out of the box
+    // Bounded out of the box, and screenable.
+    EXPECT_GE(config.screener_horizon, config.assessment.test.base.min_windows);
 
     BatchAssessorConfig used = config;
     used.assessment = assessment_config();
@@ -354,13 +335,6 @@ TEST(BatchAssessorIncremental, StoreEvictionReleasesScreeners) {
     EXPECT_EQ(assessor.drop_streams(forgotten), 3u);
     EXPECT_EQ(assessor.tracked_streams(), 3u);
     EXPECT_EQ(assessor.stream_state(1), core::StreamState::kInsufficient);
-
-    // evict_streams reconciles against the store directly: nothing stale
-    // remains now, so it drops nothing.
-    EXPECT_EQ(assessor.evict_streams(store), 0u);
-    store.evict_before(100);  // forget everyone
-    EXPECT_EQ(assessor.evict_streams(store), 3u);
-    EXPECT_EQ(assessor.tracked_streams(), 0u);
 }
 
 TEST(BatchAssessorIncremental, HorizonBoundsStreamMemory) {
@@ -384,6 +358,64 @@ TEST(BatchAssessorIncremental, HorizonBoundsStreamMemory) {
     feed(10000, 101);
     EXPECT_EQ(assessor.stream_memory_bytes(), bytes_young)
         << "a horizon-bounded stream must not grow with age";
+}
+
+TEST(BatchAssessorIncremental, RejectsAHorizonThatCouldNeverBeScreened) {
+    BatchAssessorConfig config;
+    config.assessment = assessment_config();
+    config.threads = 1;
+    ASSERT_EQ(config.assessment.test.base.min_windows, 3u);
+    // No retained horizon below min_windows could ever be screened, so
+    // the constructor refuses it instead of the first observe().
+    for (const std::size_t horizon : {0u, 2u}) {
+        config.screener_horizon = horizon;
+        EXPECT_THROW(BatchAssessor(config, beta_trust(), shared_cal()),
+                     std::invalid_argument)
+            << "horizon " << horizon;
+    }
+    config.screener_horizon = 3;
+    BatchAssessor smallest{config, beta_trust(), shared_cal()};
+    for (repsys::Timestamp t = 1; t <= 100; ++t) {
+        smallest.observe(repsys::Feedback{t, 1, 2, repsys::Rating::kPositive});
+    }
+    EXPECT_EQ(smallest.stream_state(1), core::StreamState::kClear);
+}
+
+/// Value of a process-wide serving gauge.
+std::int64_t gauge(const char* name) {
+    return obs::default_registry().gauge(name).value();
+}
+
+TEST(BatchAssessorIncremental, GaugesDescribeOnlyLiveAssessors) {
+    const std::int64_t streams_before = gauge("hpr_serving_screener_streams");
+    const std::int64_t bytes_before = gauge("hpr_serving_screener_bytes");
+    BatchAssessorConfig config;
+    config.assessment = assessment_config();
+    config.threads = 1;
+    config.screener_horizon = 8;
+    auto survivor = std::make_unique<BatchAssessor>(config, beta_trust(), shared_cal());
+    auto doomed = std::make_unique<BatchAssessor>(config, beta_trust(), shared_cal());
+    for (repsys::EntityId server = 1; server <= 5; ++server) {
+        survivor->observe(repsys::Feedback{1, server, 2, repsys::Rating::kPositive});
+    }
+    for (repsys::EntityId server = 1; server <= 9; ++server) {
+        doomed->observe(repsys::Feedback{1, server, 2, repsys::Rating::kPositive});
+    }
+    // A recount reads the bank; it must not overwrite the other
+    // assessor's share of the shared gauge.
+    const std::int64_t bytes_live = gauge("hpr_serving_screener_bytes");
+    EXPECT_GT(doomed->stream_memory_bytes(), 0u);
+    EXPECT_EQ(gauge("hpr_serving_screener_bytes"), bytes_live);
+
+    doomed.reset();
+    EXPECT_EQ(gauge("hpr_serving_screener_streams") - streams_before,
+              static_cast<std::int64_t>(survivor->tracked_streams()));
+    EXPECT_EQ(gauge("hpr_serving_screener_bytes") - bytes_before,
+              static_cast<std::int64_t>(survivor->stream_memory_bytes()));
+
+    survivor.reset();
+    EXPECT_EQ(gauge("hpr_serving_screener_streams"), streams_before);
+    EXPECT_EQ(gauge("hpr_serving_screener_bytes"), bytes_before);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include "stats/calibrate.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -288,6 +289,32 @@ TEST(Calibrator, SaveLoadRoundTrip) {
     std::remove(path.c_str());
 }
 
+TEST(Calibrator, LoadKeepsResidentSamplesInPlace) {
+    const auto path =
+        (std::filesystem::temp_directory_path() / "hpr_calibration_resident.cache")
+            .string();
+    CalibrationConfig config;
+    config.replications = 64;
+    config.threads = 1;
+    Calibrator source{config};
+    (void)source.threshold(40, 10, 0.9);
+    (void)source.threshold(100, 20, 0.95);
+    source.save_cache(path);
+
+    Calibrator cal{config};
+    const std::vector<double>& held = cal.null_distances(40, 10, 0.9);
+    const std::vector<double> values = held;
+    const double* const data = held.data();
+    cal.load_cache(path);  // holds the resident key and a fresh one
+    std::remove(path.c_str());
+    // The reference a caller holds still names the same live sample.
+    EXPECT_EQ(&cal.null_distances(40, 10, 0.9), &held);
+    EXPECT_EQ(held.data(), data);
+    EXPECT_EQ(held, values);
+    EXPECT_EQ(cal.cache_size(), 2u);
+    EXPECT_EQ(cal.threshold(100, 20, 0.95), source.threshold(100, 20, 0.95));
+}
+
 TEST(Calibrator, LoadRejectsMismatchedConfig) {
     const auto path =
         (std::filesystem::temp_directory_path() / "hpr_calibration_mismatch.cache")
@@ -515,12 +542,16 @@ TEST(Calibrator, PrecalibrateComposesWithSaveLoad) {
 namespace {
 
 /// Write a single-key cache file that matches `cal`'s header but carries a
-/// hand-edited key, returning the path.
+/// hand-edited key, returning the path.  The names carry the process id:
+/// ctest runs each test in its own process, several of them at once.
 std::string write_cache_with_key(Calibrator& cal, const std::string& key_text) {
+    const std::string pid = std::to_string(::getpid());
     const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_cal_badkey.cache").string();
+        (std::filesystem::temp_directory_path() / ("hpr_cal_badkey." + pid + ".cache"))
+            .string();
     const auto donor =
-        (std::filesystem::temp_directory_path() / "hpr_cal_donor.cache").string();
+        (std::filesystem::temp_directory_path() / ("hpr_cal_donor." + pid + ".cache"))
+            .string();
     (void)cal.threshold(5, 10, 0.9);
     cal.save_cache(donor);
     std::ifstream in{donor};

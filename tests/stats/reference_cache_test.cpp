@@ -10,6 +10,8 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace hpr::stats {
 namespace {
 
@@ -140,6 +142,26 @@ TEST(ReferenceModelCache, StatsLookupsAddUp) {
     const auto stats = cache.stats();
     EXPECT_EQ(stats.hits + stats.misses + stats.single_flight_joins, lookups);
     EXPECT_EQ(stats.in_flight, 0u);
+}
+
+TEST(ReferenceModelCache, EntriesGaugeDescribesOnlyLiveCaches) {
+    const auto entries = [] {
+        return obs::default_registry().gauge("hpr_refmodel_cache_entries").value();
+    };
+    const std::int64_t before = entries();
+    auto survivor = std::make_unique<ReferenceModelCache>();
+    auto doomed = std::make_unique<ReferenceModelCache>();
+    for (std::uint64_t good = 0; good <= 6; ++good) {
+        (void)survivor->reference(10, good, 6);
+    }
+    for (std::uint64_t good = 0; good <= 9; ++good) {
+        (void)doomed->reference(10, good, 9);
+    }
+    doomed.reset();
+    EXPECT_EQ(entries() - before,
+              static_cast<std::int64_t>(survivor->stats().entries));
+    survivor.reset();
+    EXPECT_EQ(entries(), before);
 }
 
 TEST(ReferenceModelCache, ProcessWideIsASingleton) {
